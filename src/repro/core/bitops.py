@@ -37,7 +37,9 @@ def popcount64(x: np.ndarray | int) -> np.ndarray | int:
     v = v - ((v >> np.uint64(1)) & _M1)
     v = (v & _M2) + ((v >> np.uint64(2)) & _M2)
     v = (v + (v >> np.uint64(4))) & _M4
-    out = (v * _H01) >> np.uint64(56)
+    # The byte-sum multiply wraps modulo 2^64 by design (SWAR horizontal add).
+    with np.errstate(over="ignore"):
+        out = (v * _H01) >> np.uint64(56)
     return int(out) if scalar else out.astype(np.uint8)
 
 
@@ -85,7 +87,9 @@ def lowest_set_bit(x: np.ndarray | int) -> np.ndarray | int:
     """Index of the lowest set bit (`__ffs` − 1); −1 for zero words."""
     scalar = np.isscalar(x)
     v = np.asarray(x, dtype=np.uint64)
-    isolated = v & (~v + np.uint64(1))
+    # Two's-complement isolate (v & -v): ~v + 1 wraps to 0 for zero words.
+    with np.errstate(over="ignore"):
+        isolated = v & (~v + np.uint64(1))
     # log2 of a power of two via popcount of (isolated - 1); substitute 1 for
     # zero words so the subtraction never wraps (their result is masked off).
     safe = np.where(v == 0, np.uint64(1), isolated)

@@ -22,9 +22,24 @@ the score only when ``A[r,u] != A[r,v]``:
 * ``A[r,u]=0, A[r,v]=1`` (moves T→P): fixes T iff ``cnt_T(r)=N+1``, breaks P
   iff ``cnt_P(r)=N``.
 
-All M×M pair gains therefore reduce to four small matrix products over the
-rows where any of these indicator weights is non-zero — the NumPy stand-in
-for the paper's warp-level CUDA enumeration.
+All M×M pair gains (and the excess gains below) therefore reduce to one
+small matrix product over the rows where any indicator weight can be
+non-zero — the NumPy stand-in for the paper's warp-level CUDA enumeration.
+
+Exactness
+---------
+* The product runs in float64 through BLAS.  Every operand is a 0/±1
+  indicator and every entry of the result is a sum of at most ``2·rows``
+  such terms, so all partial sums are integers far below 2^53 and the cast
+  back to int64 is exact, whatever order BLAS accumulates in.
+* Gains are evaluated on the rows where ``cnt_P(r) >= N`` or ``cnt_T(r) >= N``.
+  A row with both counts below N has zero weight in every fix/break/excess
+  indicator above, so dropping it changes no gain; the superset is
+  recomputed per pair from the live counts, so no cache can go stale.
+* ``freshtop`` is a masked lexicographic argmax over the valid M×M block:
+  the largest PScore gain, then among those cells the largest excess gain,
+  ties going to the first cell in row-major ``(u, v)`` order — exactly the
+  pick of a scan that keeps the first strictly greater key.
 """
 
 from __future__ import annotations
@@ -83,13 +98,9 @@ class _WorkingState:
         # swaps are applied with XOR, so no per-segment bool caches exist.
         self._seg_vals_t = bm.segment_values_t(pattern.m)
         self.counts_t = np.bitwise_count(self._seg_vals_t).astype(np.int16)
-        # Per-segment cache of the rows with count >= N — the only rows a
-        # single swap can move w.r.t. either the violation count (boundary
-        # rows at N / N+1) or the excess mass (rows above N).  Gains are
-        # evaluated on these rows instead of all n per candidate pair.
-        self._active: dict[int, np.ndarray] = {}
         self.n_segs = self.counts_t.shape[0]
         self.seg_nnz = self.counts_t.sum(axis=1).astype(np.int64)
+        self._shifts = np.arange(self.m, dtype=self._seg_vals_t.dtype)
 
     def column_bit(self, seg: int, local: int) -> np.ndarray:
         """One column of a segment as a 0/1 array of the packed dtype."""
@@ -106,13 +117,6 @@ class _WorkingState:
     def segment_nnz(self) -> np.ndarray:
         return self.seg_nnz
 
-    def active_rows(self, seg: int) -> np.ndarray:
-        rows = self._active.get(seg)
-        if rows is None:
-            rows = np.nonzero(self.counts_t[seg] >= self.n)[0]
-            self._active[seg] = rows
-        return rows
-
     def pair_gains(self, p: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gain matrices ``(Gp, Gt, Ge)`` of shape (m, m) for swapping local
         column ``u`` of ``p`` with ``v`` of ``t``.
@@ -123,33 +127,33 @@ class _WorkingState:
         objective that keeps the greedy progressing on rows far above the N
         budget, where a single swap cannot yet remove a violation.
         """
-        rows = np.union1d(self.active_rows(p), self.active_rows(t))
-        m = self.m
-        if rows.size == 0:
-            z = np.zeros((m, m), dtype=np.int64)
-            return z, z.copy(), z.copy()
         boundary = np.int16(self.n)
+        rows = np.flatnonzero((self.counts_t[p] >= boundary) | (self.counts_t[t] >= boundary))
+        m = self.m
         cp = self.counts_t[p, rows]
         ct = self.counts_t[t, rows]
-        shifts = np.arange(m, dtype=self._seg_vals_t.dtype)
         one = self._seg_vals_t.dtype.type(1)
-        xp = ((self._seg_vals_t[p, rows][:, None] >> shifts) & one).astype(np.int64)
-        xt = ((self._seg_vals_t[t, rows][:, None] >> shifts) & one).astype(np.int64)
-        nxp, nxt = 1 - xp, 1 - xt
-        fp = (cp == boundary + 1).astype(np.int64)
-        bp = (cp == boundary).astype(np.int64)
-        ft = (ct == boundary + 1).astype(np.int64)
-        bt = (ct == boundary).astype(np.int64)
-        # Gp[u, v] = Σ_r xu(1-xv)·fix_p − (1-xu)xv·brk_p
-        gp = (xp * fp[:, None]).T @ nxt - (nxp * bp[:, None]).T @ xt
-        # Gt[u, v] = Σ_r (1-xu)xv·fix_t − xu(1-xv)·brk_t
-        gt = (nxp * ft[:, None]).T @ xt - (xp * bt[:, None]).T @ nxt
-        # Excess deltas: moving a non-zero p→t lowers excess iff cp > N and
-        # raises it iff ct >= N (and symmetrically for t→p).
-        a2 = (cp > boundary).astype(np.int64) - (ct >= boundary).astype(np.int64)
-        b2 = (ct > boundary).astype(np.int64) - (cp >= boundary).astype(np.int64)
-        ge = (xp * a2[:, None]).T @ nxt + (nxp * b2[:, None]).T @ xt
-        return gp, gt, ge
+        xp = ((self._seg_vals_t[p, rows][:, None] >> self._shifts) & one).astype(np.float64)
+        xt = ((self._seg_vals_t[t, rows][:, None] >> self._shifts) & one).astype(np.float64)
+        # One GEMM for all three gains.  The top row block weights the rows
+        # where a non-zero moves p→t (xu(1-xv)), the bottom block those where
+        # it moves t→p ((1-xu)xv); each block has one weight column per gain:
+        #   Gp = Σ xu(1-xv)·[cp=N+1] − (1-xu)xv·[cp=N]
+        #   Gt = Σ (1-xu)xv·[ct=N+1] − xu(1-xv)·[ct=N]
+        #   Ge = Σ xu(1-xv)·([cp>N] − [ct≥N]) + (1-xu)xv·([ct>N] − [cp≥N])
+        # (moving a non-zero lowers the source's excess iff its count is
+        # above N and raises the destination's iff its count is at least N).
+        at_p, at_t = (cp == boundary).astype(np.int8), (ct == boundary).astype(np.int8)
+        over_p, over_t = (cp > boundary).astype(np.int8), (ct > boundary).astype(np.int8)
+        w_out = np.stack([cp == boundary + 1, -at_t, over_p - over_t - at_t], axis=1)
+        w_in = np.stack([-at_p, ct == boundary + 1, over_t - over_p - at_p], axis=1)
+        left = np.concatenate([
+            (xp[:, None, :] * w_out[:, :, None]).reshape(-1, 3 * m),
+            ((1.0 - xp)[:, None, :] * w_in[:, :, None]).reshape(-1, 3 * m),
+        ])
+        right = np.concatenate([1.0 - xt, xt])
+        g = (left.T @ right).astype(np.int64).reshape(3, m, m)
+        return g[0], g[1], g[2]
 
     def apply_swap(self, p: int, u: int, t: int, v: int) -> None:
         """Virtually exchange column ``u`` of segment ``p`` with ``v`` of ``t``."""
@@ -170,65 +174,42 @@ class _WorkingState:
         moved = int(delta.sum())
         self.seg_nnz[p] += moved
         self.seg_nnz[t] -= moved
-        self._update_active(p, changed)
-        self._update_active(t, changed)
-
-    def _update_active(self, seg: int, changed: np.ndarray) -> None:
-        """Incrementally repair the active-row cache on the changed rows.
-
-        A swap touches only a handful of rows; rebuilding the cache from the
-        full count column per swap would dominate the runtime on large
-        matrices.
-        """
-        rows = self._active.get(seg)
-        if rows is None:
-            return
-        c = self.counts_t[seg, changed]
-        now_active = changed[c >= self.n]
-        kept = rows[~np.isin(rows, changed, assume_unique=True)]
-        self._active[seg] = np.union1d(kept, now_active)
 
 
 def _freshtop(
     gp: np.ndarray,
     gt: np.ndarray,
     ge: np.ndarray,
-    p: int,
-    t: int,
-    m: int,
-    used: set[int],
-    valid_p: int,
-    valid_t: int,
+    free_p: np.ndarray,
+    free_t: np.ndarray,
     require_positive_gain: bool,
 ) -> tuple[int, int, int, int] | None:
     """Best fresh pair ``(u_local, v_local, gain_p, gain_t)`` or ``None``.
 
-    Pairs are ranked by (PScore gain, excess gain) lexicographically.  As in
-    the paper, a positive PScore gain is not required — but a pair must not
-    be *strictly harmful* (negative PScore gain, or zero with no excess
-    progress), which keeps the greedy from oscillating on heavily-skewed
-    matrices whose rows sit far above the N budget.
+    ``free_p`` / ``free_t`` flag the valid (non-padding) local columns of the
+    two segments whose vertices are not yet in the swap record.  Pairs are
+    ranked by (PScore gain, excess gain) lexicographically, ties to the first
+    pair in row-major order.  As in the paper, a positive PScore gain is not
+    required — but a pair must not be *strictly harmful* (negative PScore
+    gain, or zero with no excess progress), which keeps the greedy from
+    oscillating on heavily-skewed matrices whose rows sit far above the N
+    budget.
     """
-    best = None
-    best_key = None
-    for u in range(valid_p):
-        if p * m + u in used:
-            continue
-        for v in range(valid_t):
-            if t * m + v in used:
-                continue
-            key = (int(gp[u, v]) + int(gt[u, v]), int(ge[u, v]))
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (u, v, int(gp[u, v]), int(gt[u, v]))
-    if best is None or best_key is None:
+    if not (free_p.any() and free_t.any()):
         return None
+    vp, vt = free_p.size, free_t.size
+    floor = np.iinfo(np.int64).min
+    fresh = free_p[:, None] & free_t[None, :]
+    k1 = np.where(fresh, gp[:vp, :vt] + gt[:vp, :vt], floor)
+    top = k1.max()
+    u, v = divmod(int(np.argmax(np.where(k1 == top, ge[:vp, :vt], floor))), vt)
+    best_key = (int(top), int(ge[u, v]))
     if require_positive_gain:
         if best_key[0] <= 0:
             return None
     elif best_key[0] < 0 or best_key == (0, 0) or (best_key[0] == 0 and best_key[1] < 0):
         return None
-    return best
+    return u, v, int(gp[u, v]), int(gt[u, v])
 
 
 def plan_swaps(
@@ -246,8 +227,12 @@ def plan_swaps(
     m = pattern.m
     pscores = state.pscores()
     active = [int(s) for s in np.nonzero(pscores)[0]]
-    used: set[int] = set()
+    used = np.zeros(bm.n_cols, dtype=bool)
     swaps: list[tuple[int, int]] = []
+
+    def free(seg: int) -> np.ndarray:
+        """Valid local columns of ``seg`` whose vertex is not yet swapped."""
+        return ~used[seg * m : seg * m + state.valid_locals(seg)]
 
     def handle_primary(p: int, targets: list[int], fixed_out: list[int]) -> None:
         """Pair primary ``p`` with each target until fixed or out of vertices.
@@ -258,21 +243,17 @@ def plan_swaps(
         for t in targets:
             if pscores[p] <= 0:
                 break
-            valid_p = state.valid_locals(p)
-            if sum(1 for u in range(valid_p) if p * m + u not in used) == 0:
+            free_p = free(p)
+            if not free_p.any():
                 break
             gp, gt, ge = state.pair_gains(p, t)
-            pick = _freshtop(
-                gp, gt, ge, p, t, m, used,
-                valid_p, state.valid_locals(t), require_positive_gain,
-            )
+            pick = _freshtop(gp, gt, ge, free_p, free(t), require_positive_gain)
             if pick is None:
                 continue
             u, v, gain_p, gain_t = pick
             gu, gv = p * m + u, t * m + v
             swaps.append((gu, gv))
-            used.add(gu)
-            used.add(gv)
+            used[gu] = used[gv] = True
             state.apply_swap(p, u, t, v)
             pscores[p] -= gain_p
             pscores[t] -= gain_t
@@ -329,7 +310,8 @@ def plan_swaps(
             # A handful of candidates is not enough when the overflowing row
             # already occupies most sparse segments; 4m keeps the odds high
             # at negligible cost (one gain evaluation per candidate).
-            sparse_targets = [int(sg) for sg in order if sg != primary and pscores[sg] <= 0][: 4 * m]
+            sparse_targets = [int(sg) for sg in order if sg != primary and pscores[sg] <= 0]
+            sparse_targets = sparse_targets[: 4 * m]
             handle_primary(primary, sparse_targets, removed)
         for t in removed:
             active_set.discard(t)

@@ -90,6 +90,7 @@ class MicroBatcher:
         self._pending: deque[_Pending] = deque()
         self._thread: threading.Thread | None = None
         self._closed = False
+        self._fatal: BaseException | None = None  # what stopped the flusher
         self.n_batches = 0
         self.n_coalesced = 0
         self.n_fallbacks = 0
@@ -149,7 +150,9 @@ class MicroBatcher:
         :class:`~repro.pipeline.resilience.OverloadError` (reason
         ``closed``).  In every case — including a drain whose flush itself
         raises — no queued future is left unresolved, so a caller blocked
-        on ``.result()`` can never hang on a closed batcher.
+        on ``.result()`` can never hang on a closed batcher.  A
+        ``BaseException`` that stopped the flusher thread (e.g. a
+        ``KeyboardInterrupt`` raised inside a batch) is re-raised here.
         """
         with self._lock:
             self._closed = True
@@ -177,6 +180,9 @@ class MicroBatcher:
                 thread.join(timeout=5.0)
             self._abort_pending(RuntimeError(
                 "MicroBatcher closed with unserved requests"))
+        fatal, self._fatal = self._fatal, None
+        if fatal is not None:
+            raise fatal
 
     def _abort_pending(self, exc: BaseException) -> None:
         """Resolve every queued future with ``exc`` (no-op when empty)."""
@@ -311,6 +317,15 @@ class MicroBatcher:
                     # The batch's futures were resolved with the error by
                     # _run_batch; the flusher thread itself keeps serving.
                     logger.exception("micro-batch flusher survived a batch error")
+                except BaseException as exc:
+                    # KeyboardInterrupt / SystemExit: stop serving.  Every
+                    # queued request gets the error, the batcher refuses new
+                    # ones, and the next close() re-raises it to its owner.
+                    with self._lock:
+                        self._closed = True
+                        self._fatal = exc
+                    self._abort_pending(exc)
+                    return
 
     def _resolve(self, item: _Pending, out: np.ndarray) -> None:
         session = self._session

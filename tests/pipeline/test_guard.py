@@ -485,6 +485,36 @@ class TestDrainAndClose:
             with pytest.raises(KeyboardInterrupt):
                 fut.result(timeout=0)
 
+    def test_interrupted_flusher_closes_batcher_cleanly(self, monkeypatch):
+        """A KeyboardInterrupt inside a background batch stops the flusher
+        without an unhandled thread exception: queued futures get it, new
+        submissions are refused, and close() hands it to the owner."""
+        import threading
+
+        from repro.perf.batching import BatchPolicy, MicroBatcher
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        bm, session = session_for(
+            make_bm(), batch_policy=BatchPolicy(max_delay=30.0, max_requests=1))
+
+        def explode(batch):
+            raise KeyboardInterrupt("operator hit ctrl-c mid-batch")
+
+        batcher = MicroBatcher(session, session.batch_policy)
+        batcher._run_batch_inner = explode
+        fut = batcher.submit(int_features(bm.n_cols))
+        with pytest.raises(KeyboardInterrupt):
+            fut.result(timeout=5)
+        batcher._thread.join(timeout=5)
+        assert not batcher._thread.is_alive()
+        assert unhandled == []
+        with pytest.raises(RuntimeError, match="closed"):
+            batcher.submit(int_features(bm.n_cols))
+        with pytest.raises(KeyboardInterrupt):
+            batcher.close()
+        batcher.close()  # the error is handed over once
+
     def test_closed_batcher_refuses_submissions(self):
         bm, session = session_for(make_bm())
         session.submit(int_features(bm.n_cols))
